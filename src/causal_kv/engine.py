@@ -336,7 +336,10 @@ class Document:
                 if still_missing:
                     self._buffer(waiter, still_missing[0])
                     continue
-                self._store(waiter)
+                try:
+                    self._store(waiter)
+                except MalformedChangeError:
+                    continue  # drop it; raising would hide what this call already stored
                 applied.append(waiter)
                 queue.append(waiter.hash)
         return applied
@@ -358,12 +361,15 @@ class Document:
                 f"change {change.hash} has seq {change.seq} but its closure reaches "
                 f"seq {vv.get(change.actor, 0)} for actor {change.actor}"
             )
+        if change.seq <= self._actor_seq.get(change.actor, 0):
+            raise MalformedChangeError(
+                f"change {change.hash} reuses seq {change.seq} of actor {change.actor}"
+            )
         vv[change.actor] = change.seq
         self._vv[change.hash] = vv
         self.changes[change.hash] = change
         self._by_actor.setdefault(change.actor, []).append(change)
-        if change.seq > self._actor_seq.get(change.actor, 0):
-            self._actor_seq[change.actor] = change.seq
+        self._actor_seq[change.actor] = change.seq
         self._apply_ops(self.leaves, change)
         for op in change.ops:
             for depth in range(len(op.path)):
@@ -414,46 +420,23 @@ class Document:
                     vv[actor] = seq
         return vv
 
-    def in_closure(self, digest: str, heads: Iterable[str]) -> bool:
-        """Is the stored change within the ancestor closure of `heads`?"""
-        change = self.get_change(digest)
-        return self.frontier_vv(heads).get(change.actor, 0) >= change.seq
+    def version_vector(self) -> dict[int, int]:
+        """Per-actor greatest stored seq: names exactly the changes this document holds."""
+        return dict(self._actor_seq)
 
-    def missing_changes(self, their_heads: Iterable[str]) -> list[Change]:
-        """Stored changes outside the ancestor closure of the known subset of `their_heads`.
+    def missing_changes(self, their_vv: dict[int, int]) -> list[Change]:
+        """Stored changes a holder of version vector `their_vv` lacks.
 
-        Topologically ordered, dependencies first. Unknown hashes are ignored, so
-        an empty or fully unknown frontier yields the whole history.
+        Topologically ordered, dependencies first. An empty vector yields the
+        whole history; use frontier_vv to ask relative to a set of heads.
         """
-        their_heads = list(their_heads)
-        if set(their_heads) == set(self.heads):
-            return []
-        vv = self.frontier_vv(their_heads)
         wanted = [
             change
             for actor, ordered in self._by_actor.items()
-            for change in ordered[vv.get(actor, 0):]
+            for change in ordered[their_vv.get(actor, 0):]
         ]
         wanted.sort(key=lambda c: c.stamp)
         return wanted
-
-    def is_ancestor(self, a: str, b: str) -> bool:
-        """True iff `a` is a strict ancestor of `b` via deps edges."""
-        change_a = self.get_change(a)
-        change_b = self.get_change(b)
-        seen: set[str] = set()
-        stack = list(change_b.deps)
-        while stack:
-            digest = stack.pop()
-            if digest == a:
-                return True
-            if digest in seen:
-                continue
-            seen.add(digest)
-            node = self.changes[digest]
-            if node.lamport > change_a.lamport:
-                stack.extend(node.deps)
-        return False
 
     @classmethod
     def with_genesis(cls, mode: str) -> "Document":

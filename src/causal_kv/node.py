@@ -76,13 +76,7 @@ class Node:
             clock=self.clock,
         )
         self.watches = WatchManager(self.store)
-        self.sync = SyncManager(
-            doc,
-            config.node_id,
-            config.peers,
-            clock=self.clock,
-            on_apply=self._on_remote_apply,
-        )
+        self.sync = SyncManager(doc, config.node_id, config.peers, on_apply=self._on_remote_apply)
         self.store.commit_hooks.extend(
             [self._append_durable, self._watch_local, self._queue_broadcast]
         )

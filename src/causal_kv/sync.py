@@ -2,17 +2,21 @@
 
 Optimistic tier: a freshly committed local change is sent once to every peer,
 fire-and-forget, and never relayed further. Pessimistic tier: a periodic
-heads-exchange round pulls exactly the changes each side lacks and acks what it
-applied, so PeerState only ever credits a peer with history the peer itself has
-reported holding. All locally stored changes are eligible for the periodic
-tier, which is what propagates changes transitively across the topology.
+anti-entropy round in which peers exchange version vectors (actor -> greatest
+stored seq), each of which names exactly the changes its sender holds. A round
+is at most four messages: `sync_req{vv}`; `sync_resp{vv, changes}` with what
+the requester lacks; one `sync_resp` push marked `ack` with what the responder
+lacks; and, only if that push applied something, one empty `ack` reply. An
+`ack` is never answered with changes. All locally stored changes are eligible
+for the periodic tier, which is what propagates changes transitively across
+the topology.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .engine import Change, Document, change_from_wire, change_to_wire
 
@@ -21,13 +25,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PeerState:
-    """What we know about one direct peer's history, per its own reports."""
+    """The version vector one direct peer last reported, replaced on each report."""
 
     peer_id: int
-    address: object = None
-    last_known_heads: tuple[str, ...] = ()
-    shared_heads: tuple[str, ...] = ()  # greatest frontier both nodes are known to share
-    last_sync_at: float = 0.0
+    vv: dict[int, int] = field(default_factory=dict)
+
+
+def _vv_from_wire(obj) -> dict[int, int] | None:
+    """Parse a wire version vector ({"actor": seq}); None if it is malformed."""
+    if not isinstance(obj, dict):
+        return None
+    vv = {}
+    for actor, seq in obj.items():
+        if not (isinstance(actor, str) and actor.isascii() and actor.isdigit()):
+            return None
+        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
+            return None
+        vv[int(actor)] = seq
+    return vv
 
 
 class SyncManager:
@@ -41,15 +56,13 @@ class SyncManager:
         self,
         doc: Document,
         node_id: int,
-        peers: dict[int, object],
-        clock: Callable[[], float] | None = None,
+        peers: Iterable[int],
         on_apply: Callable[[Change], None] | None = None,
     ):
         self.doc = doc
         self.node_id = node_id
-        self.clock = clock or (lambda: 0.0)
         self.on_apply = on_apply
-        self.peer_states = {pid: PeerState(peer_id=pid, address=addr) for pid, addr in peers.items()}
+        self.peer_states = {pid: PeerState(peer_id=pid) for pid in peers}
 
     # -- message construction ------------------------------------------------
 
@@ -59,13 +72,19 @@ class SyncManager:
         return [(pid, msg) for pid in self.peer_states]
 
     def sync_request(self, peer_id: int) -> tuple[int, dict]:
-        state = self.peer_states[peer_id]
-        return peer_id, {
-            "type": "sync_req",
+        return peer_id, {"type": "sync_req", "from": self.node_id, "vv": self._wire_vv()}
+
+    def _sync_resp(self, changes: list[Change], ack: bool) -> dict:
+        return {
+            "type": "sync_resp",
             "from": self.node_id,
-            "heads": list(self.doc.heads),
-            "shared": list(state.shared_heads),
+            "vv": self._wire_vv(),
+            "changes": [change_to_wire(c) for c in changes],
+            "ack": ack,
         }
+
+    def _wire_vv(self) -> dict[str, int]:
+        return {str(actor): seq for actor, seq in self.doc.version_vector().items()}
 
     # -- message handling -------------------------------------------------------
 
@@ -75,32 +94,24 @@ class SyncManager:
         if kind == "change":
             self._apply_wire_changes([msg.get("change")])
             return None
-        if kind == "sync_req":
-            self._note_peer(msg.get("from"), msg.get("heads", ()))
-            # the shared hint widens what we can assume the requester holds when
-            # its heads are not recognized here (e.g. after it committed alone)
-            assumed = list(msg.get("heads", ())) + list(msg.get("shared", ()))
-            return {
-                "type": "sync_resp",
-                "from": self.node_id,
-                "heads": list(self.doc.heads),
-                "changes": [change_to_wire(c) for c in self.doc.missing_changes(assumed)],
-            }
-        if kind == "sync_resp":
-            applied = self._apply_wire_changes(msg.get("changes", ()))
-            their_heads = msg.get("heads", ())
-            self._note_peer(msg.get("from"), their_heads)
-            outgoing = self.doc.missing_changes(their_heads)
-            if applied or outgoing:
-                return {
-                    "type": "sync_resp",
-                    "from": self.node_id,
-                    "heads": list(self.doc.heads),
-                    "changes": [change_to_wire(c) for c in outgoing],
-                }
+        if kind not in ("sync_req", "sync_resp"):
+            logger.warning("node %d: unknown peer message type %r", self.node_id, kind)
             return None
-        logger.warning("node %d: unknown peer message type %r", self.node_id, kind)
-        return None
+        their_vv = _vv_from_wire(msg.get("vv"))
+        changes = msg.get("changes", [])
+        if their_vv is None or not isinstance(changes, list):
+            logger.warning("node %d: dropped malformed %s", self.node_id, kind)
+            return None
+        applied = self._apply_wire_changes(changes) if kind == "sync_resp" else 0
+        state = self.peer_states.get(msg.get("from"))
+        if state is not None:
+            state.vv = their_vv
+        if kind == "sync_req":
+            return self._sync_resp(self.doc.missing_changes(their_vv), ack=False)
+        if msg.get("ack"):
+            return self._sync_resp([], ack=True) if applied else None
+        outgoing = self.doc.missing_changes(their_vv)
+        return self._sync_resp(outgoing, ack=True) if outgoing else None
 
     def _apply_wire_changes(self, wire_changes) -> int:
         applied_count = 0
@@ -117,22 +128,12 @@ class SyncManager:
                     self.on_apply(c)
         return applied_count
 
-    def _note_peer(self, peer_id, their_heads) -> None:
-        state = self.peer_states.get(peer_id)
-        if state is None:
-            return
-        state.last_known_heads = tuple(sorted(their_heads))
-        known = [h for h in state.last_known_heads if self.doc.has_change(h)]
-        state.shared_heads = tuple(
-            h for h in known if not any(o != h and self.doc.is_ancestor(h, o) for o in known)
-        )
-        state.last_sync_at = self.clock()
-
     # -- replication status --------------------------------------------------------
 
     def replication_status(self, hashes) -> dict[int, bool]:
-        """Per direct peer: does its last-reported history cover every queried hash?"""
+        """Per direct peer: does its last-reported vector cover every queried hash?"""
+        changes = [self.doc.get_change(h) for h in hashes]
         return {
-            pid: all(self.doc.in_closure(h, state.last_known_heads) for h in hashes)
+            pid: all(state.vv.get(c.actor, 0) >= c.seq for c in changes)
             for pid, state in sorted(self.peer_states.items())
         }

@@ -14,7 +14,7 @@ import base64
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .engine import Change, Document, UnknownHashError
+from .engine import Change, Document
 from .kvstore import ApiError, Store, b64e
 
 ZERO_STAMP = (0, "")
@@ -48,7 +48,6 @@ class Registration:
     range_end: bytes | None
     sink: Callable[[int, list[WatchEvent]], None]
     last_sent: dict[bytes, tuple[int, tuple[int, str]]] = field(default_factory=dict)
-    seen: set[tuple[bytes, str]] = field(default_factory=set)
 
     def matches(self, key: bytes) -> bool:
         if self.range_end is None:
@@ -179,19 +178,14 @@ class WatchManager:
             return []
         if not isinstance(start, (list, tuple)) or not all(isinstance(h, str) for h in start):
             raise ApiError("malformed", "hash mode watches start from a list of change hashes")
-        try:
-            known = self.doc.ancestor_closure(list(start))
-            for digest in start:
-                if digest not in known:
-                    raise UnknownHashError(digest)
-        except UnknownHashError as exc:
-            raise ApiError("unknown_hash", str(exc)) from exc
+        for digest in start:
+            if not self.doc.has_change(digest):
+                raise ApiError("unknown_hash", f"unknown change hash {digest}")
         backlog: list[WatchEvent] = []
-        for change in self.doc.missing_changes(start):
+        for change in self.doc.missing_changes(self.doc.frontier_vv(start)):
             for key in sorted(affected_keys(change, "hash")):
                 if not reg.matches(key):
                     continue
-                reg.seen.add((key, change.hash))
                 value = self.store.value_bytes_at_frontier(key, [change.hash])
                 backlog.append(
                     WatchEvent(
@@ -248,10 +242,7 @@ class WatchManager:
         reg.last_sent[key] = (rev, stamp)
         return self._counter_event(key, rev, info["deleted"])
 
-    def _hash_live(self, reg, key, info, change) -> WatchEvent | None:
-        if (key, change.hash) in reg.seen:
-            return None
-        reg.seen.add((key, change.hash))
+    def _hash_live(self, reg, key, info, change) -> WatchEvent:
         item = self.store.read_item(key)
         return WatchEvent(
             type="put" if item is not None else "delete",

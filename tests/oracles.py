@@ -46,12 +46,12 @@ def random_history(seed, max_changes=20, max_actors=3, keys=("a", "b", "c", "d")
         doc.commit(actor, ops)
         if rng.random() < 0.5:
             other = docs[rng.randint(1, n_actors)]
-            for c in doc.missing_changes(other.heads):
+            for c in doc.missing_changes(other.version_vector()):
                 other.apply_remote(c)
-            for c in other.missing_changes(doc.heads):
+            for c in other.missing_changes(doc.version_vector()):
                 doc.apply_remote(c)
     union = Document.with_genesis("hash")
     for doc in docs.values():
-        for c in doc.missing_changes(union.heads):
+        for c in doc.missing_changes(union.version_vector()):
             union.apply_remote(c)
     return list(union.changes.values())

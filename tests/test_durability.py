@@ -51,7 +51,7 @@ def test_remote_changes_are_logged_too(tmp_path):
     origin.commit(2, [set_op(("kvs", "x"), "remote")])
 
     store, log = logged_store(tmp_path, mode="hash")
-    for change in origin.missing_changes(store.doc.heads):
+    for change in origin.missing_changes(store.doc.version_vector()):
         status, applied = store.doc.apply_remote(change)
         for c in applied:
             log.append(c)

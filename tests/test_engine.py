@@ -153,7 +153,7 @@ def two_concurrent_docs():
     base = Document.with_genesis("hash")
     base.commit(1, [set_op(("kvs", "seed"), 0)])
     d1, d2 = Document.with_genesis("hash"), Document.with_genesis("hash")
-    for c in base.missing_changes([d1.genesis_hash]):
+    for c in base.missing_changes(d1.version_vector()):
         d1.apply_remote(c)
         d2.apply_remote(c)
     c1 = d1.commit(1, [set_op(("kvs", "a"), "one")])
@@ -270,13 +270,13 @@ def test_state_at_unknown_hash_errors_with_the_hash():
 def test_missing_changes_equal_frontiers_is_empty():
     doc = Document.with_genesis("hash")
     doc.commit(1, [set_op(("kvs", "a"), 1)])
-    assert doc.missing_changes(doc.heads) == []
+    assert doc.missing_changes(doc.version_vector()) == []
 
 
 def test_missing_changes_from_genesis_returns_later_changes_in_topo_order():
     doc = Document.with_genesis("hash")
     commits = [doc.commit(1, [set_op(("kvs", "a"), i)]) for i in range(3)]
-    missing = doc.missing_changes([doc.genesis_hash])
+    missing = doc.missing_changes(doc.frontier_vv([doc.genesis_hash]))
     assert missing == commits
     fresh = Document.with_genesis("hash")
     for c in missing:
@@ -288,7 +288,7 @@ def test_missing_changes_from_genesis_returns_later_changes_in_topo_order():
 def test_missing_changes_empty_frontier_returns_everything():
     doc = Document.with_genesis("hash")
     doc.commit(1, [set_op(("kvs", "a"), 1)])
-    missing = doc.missing_changes([])
+    missing = doc.missing_changes({})
     assert [c.hash for c in missing] == list(doc.changes)
     assert missing[0].hash == doc.genesis_hash
 
@@ -296,7 +296,7 @@ def test_missing_changes_empty_frontier_returns_everything():
 def test_missing_changes_ignores_unknown_hashes():
     doc = Document.with_genesis("hash")
     doc.commit(1, [set_op(("kvs", "a"), 1)])
-    assert len(doc.missing_changes(["ff" * 32])) == 2
+    assert len(doc.missing_changes(doc.frontier_vv(["ff" * 32]))) == 2
 
 
 def test_missing_changes_agrees_with_closure_walk_on_random_frontiers():
@@ -315,9 +315,7 @@ def test_missing_changes_agrees_with_closure_walk_on_random_frontiers():
                 (c for h, c in doc.changes.items() if h not in closure),
                 key=lambda c: c.stamp,
             )
-            assert doc.missing_changes(frontier) == expected
-            for digest in stored:
-                assert doc.in_closure(digest, frontier) == (digest in closure)
+            assert doc.missing_changes(doc.frontier_vv(frontier)) == expected
 
 
 def test_per_actor_seq_gaps_are_rejected():
@@ -330,33 +328,26 @@ def test_per_actor_seq_gaps_are_rejected():
         fresh.apply_remote(gap)
 
 
-# -- is_ancestor ----------------------------------------------------------------
-
-
-def test_genesis_is_ancestor_of_everything():
+def test_reused_actor_seq_is_rejected():
     doc = Document.with_genesis("hash")
-    c = doc.commit(1, [set_op(("kvs", "a"), 1)])
-    assert doc.is_ancestor(doc.genesis_hash, c.hash)
-    assert not doc.is_ancestor(c.hash, doc.genesis_hash)
+    doc.commit(1, [set_op(("kvs", "a"), 1)])
+    fork = Document.with_genesis("hash").commit(1, [set_op(("kvs", "a"), 2)])
+    with pytest.raises(MalformedChangeError):
+        doc.apply_remote(fork)
+    assert not doc.has_change(fork.hash)
+    assert doc.version_vector() == {0: 1, 1: 1}
+    assert len(doc.missing_changes({0: 1})) == 1
 
 
-def test_is_ancestor_is_strict():
+def test_malformed_buffered_change_is_dropped_when_released():
+    src = Document.with_genesis("hash")
+    dep = src.commit(2, [set_op(("kvs", "a"), 1)])
+    bad = make_change(actor=3, seq=1, lamport=99, deps=(dep.hash,), ops=(set_op(("kvs", "b"), 2),))
     doc = Document.with_genesis("hash")
-    c = doc.commit(1, [set_op(("kvs", "a"), 1)])
-    assert not doc.is_ancestor(c.hash, c.hash)
-
-
-def test_concurrent_changes_are_not_ancestors_either_way():
-    d1, d2, c1, c2 = two_concurrent_docs()
-    d1.apply_remote(c2)
-    assert not d1.is_ancestor(c1.hash, c2.hash)
-    assert not d1.is_ancestor(c2.hash, c1.hash)
-
-
-def test_is_ancestor_unknown_hash_errors():
-    doc = Document.with_genesis("hash")
-    with pytest.raises(UnknownHashError):
-        doc.is_ancestor("ab" * 32, doc.genesis_hash)
+    assert doc.apply_remote(bad) == ("buffered", [])
+    assert doc.apply_remote(dep) == ("applied", [dep])
+    assert not doc.has_change(bad.hash)
+    assert doc.pending_count() == 0
 
 
 # -- whole-document properties ---------------------------------------------------
@@ -420,7 +411,7 @@ def test_frontier_scan_on_a_thousand_change_document():
     for i in range(997):
         doc.commit(1, [set_op(("kvs", "k%d" % (i % 7)), i)])
     fork.commit(2, [set_op(("kvs", "other"), 1)])
-    for c in fork.missing_changes(doc.heads):
+    for c in fork.missing_changes(doc.version_vector()):
         doc.apply_remote(c)
     doc.commit(1, [set_op(("kvs", "merge"), True)])
     assert len(doc.changes) == 1000

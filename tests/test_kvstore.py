@@ -19,9 +19,9 @@ def make_store(mode="counter", schema="bytes", member_id=1, clock=None):
 
 
 def sync(a: Store, b: Store):
-    for c in a.doc.missing_changes(b.doc.heads):
+    for c in a.doc.missing_changes(b.doc.version_vector()):
         b.doc.apply_remote(c)
-    for c in b.doc.missing_changes(a.doc.heads):
+    for c in b.doc.missing_changes(a.doc.version_vector()):
         a.doc.apply_remote(c)
 
 

@@ -365,6 +365,23 @@ def test_sync_round_count_matches_interval_arithmetic():
     assert abs(reqs_1_to_2 - 50) <= 1
 
 
+def test_anti_entropy_round_sends_at_most_four_messages():
+    # broadcasts still in flight under load must not turn a round into a ping-pong
+    scenario = scenario_from_dict(
+        {
+            "nodes": 5,
+            "workload": {"rate": 1000, "duration_s": 0.5},
+            "link": {"delay_ms": 10.0, "jitter": 0.1},
+            "quiescence_s": 0.5,
+        }
+    )
+    result = run_scenario(scenario, seed=3)
+    assert result.converged
+    reqs, _ = result.network.counts("sync_req")
+    resps, _ = result.network.counts("sync_resp")
+    assert resps <= 3 * reqs, (resps, reqs)
+
+
 def test_zero_peer_node_sends_no_messages():
     result = run_scenario(
         scenario_from_dict({"nodes": 1, "workload": {"rate": 100, "duration_s": 1.0}}), seed=1

@@ -1,4 +1,4 @@
-"""Peer replication: broadcast, heads-exchange rounds, transitive propagation."""
+"""Peer replication: broadcast, version-vector rounds, transitive propagation."""
 
 from causal_kv.engine import change_to_wire, set_op
 from causal_kv.node import Node, NodeConfig
@@ -114,7 +114,7 @@ def test_commit_during_full_partition_stays_readable_locally():
     assert read["count"] == 1
 
 
-# -- periodic heads exchange ----------------------------------------------------------
+# -- periodic version-vector exchange ---------------------------------------------
 
 
 def test_identical_documents_sync_transfers_nothing():
@@ -209,11 +209,11 @@ def test_first_contact_with_unknown_frontier_falls_back_to_full_transfer():
     bus.pump()
     bus.cut = set()
     bus.log.clear()
-    n1.sync_with(2)  # no shared hint yet: n2 cannot place n1's head
+    n1.sync_with(2)  # n2 has never seen n1's head; n1's vector still places it
     bus.pump()
     assert n1.doc.heads == n2.doc.heads
-    first_resp = bus.messages("sync_resp")[0]
-    assert len(first_resp["changes"]) == len(n2.doc.changes) - 1  # everything n2 had
+    # reply: nothing n1 lacks; push: the one change n2 lacks; empty ack
+    assert [len(m["changes"]) for m in bus.messages("sync_resp")] == [0, 1, 0]
 
 
 def test_sync_merges_divergence_in_both_directions():
@@ -223,10 +223,18 @@ def test_sync_merges_divergence_in_both_directions():
     put(n2, b"b", b"2")
     bus.pump()
     bus.cut = set()
+    bus.log.clear()
     n1.sync_with(2)
     bus.pump()
     assert n1.doc.heads == n2.doc.heads
     assert n1.doc.leaves_snapshot() == n2.doc.leaves_snapshot()
+    round_ = [(m["type"], m.get("ack", False), len(m.get("changes", ()))) for m in bus.messages()]
+    assert round_ == [
+        ("sync_req", False, 0),
+        ("sync_resp", False, 1),
+        ("sync_resp", True, 1),
+        ("sync_resp", True, 0),
+    ]
 
 
 def test_chain_topology_propagates_transitively():
@@ -319,8 +327,46 @@ def test_shared_heads_track_common_frontier():
     bus.pump()  # broadcast reached n2
     n1.sync_with(2)
     bus.pump()
-    state = n1.sync.peer_states[2]
-    assert state.last_known_heads == n2.doc.heads
-    assert state.shared_heads == n1.doc.heads  # fully shared after the round
-    closure = n1.doc.ancestor_closure(n1.doc.heads)
-    assert all(h in closure for h in state.shared_heads)
+    assert n1.sync.peer_states[2].vv == n2.doc.version_vector()
+
+
+def test_peer_vv_is_replaced_so_a_restarted_peer_is_not_credited():
+    bus, n1, n2 = two_node_bus(mode="hash")
+    put(n1, b"a", b"1")
+    bus.pump()
+    head = list(n1.doc.heads)
+    n1.sync_with(2)
+    bus.pump()
+    assert n1.sync.replication_status(head) == {2: True}
+    # node 2 restarts with an empty log and starts a round; node 1's reply is lost
+    restarted = Node(
+        NodeConfig(node_id=2, mode="hash", peers={1: None}),
+        send=lambda dst, msg: bus.queue.append((2, dst, msg)),
+    )
+    bus.nodes[2] = restarted
+    bus.cut = {(1, 2)}
+    restarted.sync_with(1)
+    bus.pump()
+    assert n1.sync.peer_states[2].vv == restarted.doc.version_vector()
+    assert n1.sync.replication_status(head) == {2: False}
+    bus.cut = set()
+    n1.sync_with(2)
+    bus.pump()
+    assert restarted.doc.heads == n1.doc.heads
+    assert n1.sync.replication_status(head) == {2: True}
+
+
+def test_malformed_sync_message_is_dropped_without_reply(caplog):
+    bus, n1, n2 = two_node_bus()
+    n2.sync_with(1)
+    bus.pump()
+    before = dict(n1.sync.peer_states[2].vv)
+    assert before
+    bad_vvs = [{"x": 1}, {"-1": 1}, {"1": -1}, {"1": True}, {"1": 1.5}, {"1": "2"}, [1, 2], None]
+    bad_msgs = [{"vv": bad, "changes": []} for bad in bad_vvs] + [{"vv": {}, "changes": 5}]
+    for bad in bad_msgs:
+        for kind in ("sync_req", "sync_resp"):
+            caplog.clear()
+            assert n1.handle_peer_message({"type": kind, "from": 2, **bad}) is None
+            assert n1.sync.peer_states[2].vv == before
+            assert any("dropped malformed" in r.getMessage() for r in caplog.records)

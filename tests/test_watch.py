@@ -22,7 +22,7 @@ class Node:
         self.store.commit_hooks.append(lambda change: self.watches.on_change(change, "local"))
 
     def pull_from(self, other):
-        for change in other.store.doc.missing_changes(self.store.doc.heads):
+        for change in other.store.doc.missing_changes(self.store.doc.version_vector()):
             status, applied = self.store.doc.apply_remote(change)
             for c in applied:
                 self.watches.on_change(c, "remote")
