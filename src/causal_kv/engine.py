@@ -3,16 +3,19 @@
 A Change is the unit of replication: a batch of leaf operations plus the set of
 frontier hashes it causally depends on. Changes are identified by the SHA-256 of
 their canonical JSON encoding, so any two nodes that hold the same set of changes
-hold byte-identical history. Concurrent writes to the same leaf are resolved by a
-total order on (lamport, change hash); applying any dependency-closed set of
-changes in any order converges to the same leaves and heads.
+hold byte-identical history. A Change derives its hash in its constructor, so no
+Change carries a hash its content does not produce; the hash a peer or the log
+claims is checked once, in change_from_wire. Concurrent writes to the same leaf
+are resolved by a total order on (lamport, change hash); applying any
+dependency-closed set of changes in any order converges to the same leaves and
+heads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 GENESIS_ACTOR = 0
@@ -109,7 +112,11 @@ class Change:
     lamport: int
     deps: tuple[str, ...]  # ascending lowercase hex
     ops: tuple[LeafOp, ...]
-    hash: str  # lowercase hex SHA-256 of the canonical encoding (hash field absent)
+    hash: str = field(init=False)  # lowercase hex SHA-256 of the canonical encoding
+
+    def __post_init__(self):
+        raw = canonical_change_bytes(self.actor, self.seq, self.lamport, self.deps, self.ops)
+        object.__setattr__(self, "hash", hashlib.sha256(raw).hexdigest())
 
     @property
     def stamp(self) -> tuple[int, str]:
@@ -129,13 +136,11 @@ def canonical_change_bytes(actor: int, seq: int, lamport: int, deps, ops) -> byt
 
 
 def make_change(actor: int, seq: int, lamport: int, deps, ops) -> Change:
-    """Build a Change, deriving its hash from the canonical encoding."""
+    """Build a Change with sorted deps and at least one op."""
     ops = tuple(ops)
-    deps = tuple(sorted(deps))
     if not ops:
         raise MalformedChangeError("a change must carry at least one op")
-    digest = hashlib.sha256(canonical_change_bytes(actor, seq, lamport, deps, ops)).hexdigest()
-    return Change(actor=actor, seq=seq, lamport=lamport, deps=deps, ops=ops, hash=digest)
+    return Change(actor=actor, seq=seq, lamport=lamport, deps=tuple(sorted(deps)), ops=ops)
 
 
 def change_to_wire(change: Change) -> dict:
@@ -151,8 +156,8 @@ def change_to_wire(change: Change) -> dict:
     return obj
 
 
-def change_from_wire(obj, verify: bool = True) -> Change:
-    """Parse and (by default) hash-verify a change received over the wire or from disk."""
+def change_from_wire(obj) -> Change:
+    """Parse and hash-verify a change received over the wire or from disk."""
     if not isinstance(obj, dict):
         raise MalformedChangeError("change must be a JSON object")
     try:
@@ -174,7 +179,7 @@ def change_from_wire(obj, verify: bool = True) -> Change:
     if not isinstance(ops, list):
         raise MalformedChangeError("ops must be a list")
     change = make_change(actor, seq, lamport, deps, [LeafOp.from_wire(o) for o in ops])
-    if verify and change.hash != claimed:
+    if change.hash != claimed:
         raise HashMismatchError(f"claimed hash {claimed} but canonical encoding hashes to {change.hash}")
     return change
 
@@ -215,14 +220,14 @@ class Document:
         self.changes: dict[str, Change] = {}  # insertion order == application order
         self.leaves: dict[Path, Leaf] = {}
         self.heads: tuple[str, ...] = ()
-        self._actor_seq: dict[int, int] = {}
         self._pending: dict[str, list[Change]] = {}  # missing dep hash -> waiting changes
         self._pending_hashes: set[str] = set()
         self._children: dict[Path, set[str]] = {}  # interior path -> child components
         # per-change version vector: actor -> greatest seq in the change's closure;
         # valid because each change depends on its actor's previous change
         self._vv: dict[str, dict[int, int]] = {}
-        self._by_actor: dict[int, list[Change]] = {}  # seq order == application order
+        # each actor's changes form a chain, so _by_actor[a][:n] holds seqs 1..n
+        self._by_actor: dict[int, list[Change]] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -240,7 +245,7 @@ class Document:
         return next(iter(self.changes))
 
     def next_seq(self, actor: int) -> int:
-        return self._actor_seq.get(actor, 0) + 1
+        return len(self._by_actor.get(actor, ())) + 1
 
     def pending_count(self) -> int:
         return len(self._pending_hashes)
@@ -295,11 +300,6 @@ class Document:
         """
         if change.hash in self.changes:
             return "duplicate", []
-        recomputed = hashlib.sha256(
-            canonical_change_bytes(change.actor, change.seq, change.lamport, change.deps, change.ops)
-        ).hexdigest()
-        if recomputed != change.hash:
-            raise HashMismatchError(f"change {change.hash} re-hashes to {recomputed}")
         self._validate_shape(change)
         if change.hash in self._pending_hashes:
             return "buffered", []
@@ -361,7 +361,7 @@ class Document:
                 f"change {change.hash} has seq {change.seq} but its closure reaches "
                 f"seq {vv.get(change.actor, 0)} for actor {change.actor}"
             )
-        if change.seq <= self._actor_seq.get(change.actor, 0):
+        if change.seq <= len(self._by_actor.get(change.actor, ())):
             raise MalformedChangeError(
                 f"change {change.hash} reuses seq {change.seq} of actor {change.actor}"
             )
@@ -369,7 +369,6 @@ class Document:
         self._vv[change.hash] = vv
         self.changes[change.hash] = change
         self._by_actor.setdefault(change.actor, []).append(change)
-        self._actor_seq[change.actor] = change.seq
         self._apply_ops(self.leaves, change)
         for op in change.ops:
             for depth in range(len(op.path)):
@@ -387,27 +386,24 @@ class Document:
 
     # -- history ------------------------------------------------------------
 
-    def ancestor_closure(self, heads: Iterable[str]) -> set[str]:
-        """All stored changes reachable from the given hashes, including them."""
-        closure: set[str] = set()
-        stack = [h for h in heads if h in self.changes]
-        while stack:
-            digest = stack.pop()
-            if digest in closure:
-                continue
-            closure.add(digest)
-            stack.extend(d for d in self.changes[digest].deps if d not in closure)
-        return closure
-
     def state_at(self, frontier: Iterable[str]) -> dict[Path, object]:
-        """Live leaves produced by replaying exactly the ancestor closure of `frontier`."""
+        """Live leaves produced by replaying exactly the ancestor closure of `frontier`.
+
+        The closure is each actor chain's prefix up to the frontier's version
+        vector: the complement of what missing_changes returns for that vector.
+        """
         frontier = list(frontier)
         for digest in frontier:
             if digest not in self.changes:
                 raise UnknownHashError(digest)
-        closure = self.ancestor_closure(frontier)
+        vv = self.frontier_vv(frontier)
+        closure = [
+            change
+            for actor, ordered in self._by_actor.items()
+            for change in ordered[:vv.get(actor, 0)]
+        ]
         replayed: dict[Path, Leaf] = {}
-        for change in sorted((self.changes[h] for h in closure), key=lambda c: c.stamp):
+        for change in sorted(closure, key=lambda c: c.stamp):
             self._apply_ops(replayed, change)
         return {p: leaf.value for p, leaf in replayed.items() if leaf.value is not DELETED}
 
@@ -422,7 +418,7 @@ class Document:
 
     def version_vector(self) -> dict[int, int]:
         """Per-actor greatest stored seq: names exactly the changes this document holds."""
-        return dict(self._actor_seq)
+        return {actor: len(ordered) for actor, ordered in self._by_actor.items()}
 
     def missing_changes(self, their_vv: dict[int, int]) -> list[Change]:
         """Stored changes a holder of version vector `their_vv` lacks.

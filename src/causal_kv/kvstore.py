@@ -247,10 +247,19 @@ class Store:
 
     # -- plumbing -------------------------------------------------------------
 
-    def _commit(self, ops) -> Change:
+    def _next_revision(self) -> int | None:
+        """The revision the next KV-mutating commit takes; None in hash mode."""
+        return self.current_revision() + 1 if self.mode == "counter" else None
+
+    def _commit(self, ops, rev: int | None = None) -> Change:
+        """Commit `ops` as one change; a counter revision `rev` is written first."""
+        if rev is not None:
+            ops = [set_op(REVISION_PATH, rev), *ops]
         change = self.doc.commit(self.actor, ops)
         for hook in self.commit_hooks:
             hook(change)
+        if rev is not None:
+            self._revision_floor = rev
         return change
 
     def current_revision(self) -> int:
@@ -463,16 +472,8 @@ class Store:
         if not key:
             raise ApiError("malformed", "key must be non-empty")
         prev = self.read_item(key) if return_prev else None
-        ops = []
-        rev = None
-        if self.mode == "counter":
-            rev = self.current_revision() + 1
-            ops.append(set_op(REVISION_PATH, rev))
-        ops.extend(self._value_ops(key, value, rev))
-        ops.extend(self._lease_ops(key, lease))
-        self._commit(ops)
-        if rev is not None:
-            self._revision_floor = rev
+        rev = self._next_revision()
+        self._commit(self._value_ops(key, value, rev) + self._lease_ops(key, lease), rev)
         return self.header(), prev
 
     def delete_range(self, key: bytes, range_end: bytes | None = None):
@@ -482,16 +483,8 @@ class Store:
         victims = [k for k in self._keys_in_range(view, key, range_end) if self.read_item(k, view) is not None]
         if not victims:
             return self.header(), 0
-        ops = []
-        rev = None
-        if self.mode == "counter":
-            rev = self.current_revision() + 1
-            ops.append(set_op(REVISION_PATH, rev))
-        for k in victims:
-            ops.extend(self._delete_ops(k, rev))
-        self._commit(ops)
-        if rev is not None:
-            self._revision_floor = rev
+        rev = self._next_revision()
+        self._commit([op for k in victims for op in self._delete_ops(k, rev)], rev)
         return self.header(), len(victims)
 
     # -- transactions ------------------------------------------------------------
@@ -518,7 +511,7 @@ class Store:
         """
         succeeded = all(self._eval_compare(c) for c in compares)
         branch = success if succeeded else failure
-        rev = self.current_revision() + 1 if self.mode == "counter" else None
+        rev = self._next_revision()
         mut_ops = []
         responses = []
         view = _DocView(self.doc)
@@ -547,10 +540,7 @@ class Store:
             else:
                 raise ApiError("malformed", f"unknown txn op {kind!r}")
         if mut_ops:
-            ops = ([set_op(REVISION_PATH, rev)] if rev is not None else []) + mut_ops
-            self._commit(ops)
-            if rev is not None:
-                self._revision_floor = rev
+            self._commit(mut_ops, rev)
         return self.header(), succeeded, responses
 
     # -- leases ---------------------------------------------------------------------
@@ -590,17 +580,10 @@ class Store:
             raise ApiError("unknown_lease", f"lease {lease_id} does not exist")
         root = ("leases", str(lease_id))
         victims = [k for k in self._attached_keys(lease_id) if self.read_item(k) is not None]
-        ops = []
-        rev = None
-        if self.mode == "counter" and victims:
-            rev = self.current_revision() + 1
-            ops.append(set_op(REVISION_PATH, rev))
-        for k in victims:
-            ops.extend(self._delete_ops(k, rev))
+        rev = self._next_revision() if victims else None
+        ops = [op for k in victims for op in self._delete_ops(k, rev)]
         ops.extend(del_op(root + (name,)) for name in ("ttl", "granted_at_ms", "grantor"))
-        self._commit(ops)
-        if rev is not None:
-            self._revision_floor = rev
+        self._commit(ops, rev)
         return self.header()
 
     def lease_list(self) -> list[LeaseRecord]:

@@ -90,6 +90,9 @@ class SyncManager:
 
     def handle_message(self, msg: dict) -> dict | None:
         """Consume one peer message; returns a reply to send back, if any."""
+        if not isinstance(msg, dict):
+            logger.warning("node %d: dropped malformed peer message: not an object", self.node_id)
+            return None
         kind = msg.get("type")
         if kind == "change":
             self._apply_wire_changes([msg.get("change")])
@@ -97,13 +100,14 @@ class SyncManager:
         if kind not in ("sync_req", "sync_resp"):
             logger.warning("node %d: unknown peer message type %r", self.node_id, kind)
             return None
+        sender = msg.get("from")
         their_vv = _vv_from_wire(msg.get("vv"))
         changes = msg.get("changes", [])
-        if their_vv is None or not isinstance(changes, list):
+        if type(sender) is not int or their_vv is None or not isinstance(changes, list):
             logger.warning("node %d: dropped malformed %s", self.node_id, kind)
             return None
         applied = self._apply_wire_changes(changes) if kind == "sync_resp" else 0
-        state = self.peer_states.get(msg.get("from"))
+        state = self.peer_states.get(sender)
         if state is not None:
             state.vv = their_vv
         if kind == "sync_req":

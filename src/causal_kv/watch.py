@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import Change, Document
-from .kvstore import ApiError, Store, b64e
+from .kvstore import ApiError, Store, _DocView, b64e
 
 ZERO_STAMP = (0, "")
 
@@ -127,17 +127,6 @@ class WatchManager:
     def registration(self, watch_id: int) -> Registration | None:
         return self._regs.get(watch_id)
 
-    def _matched_keys(self, reg: Registration) -> list[bytes]:
-        keys = []
-        for comp in self.doc.children(("kvs",)):
-            try:
-                key = base64.b64decode(comp.encode("ascii"), validate=True)
-            except Exception:
-                continue
-            if reg.matches(key):
-                keys.append(key)
-        return sorted(keys)
-
     def _rev_stamp(self, key: bytes, rev: int) -> tuple[int, str]:
         """Winning stamp recorded at one revision of a key (max over its leaves)."""
         return self._max_stamp_under(("kvs", b64e(key), "revs", str(rev)))
@@ -161,7 +150,7 @@ class WatchManager:
                 raise ApiError("future_revision", f"revision {start} has not been assigned yet")
         backlog: list[WatchEvent] = []
         replayed: list[tuple[int, bytes, bool]] = []
-        for key in self._matched_keys(reg):
+        for key in self.store._keys_in_range(_DocView(self.doc), reg.key, reg.range_end):
             revs = self.store.revs_of(key)
             if not revs:
                 continue

@@ -10,9 +10,8 @@ import random
 from causal_kv.engine import Document, del_op, set_op
 
 
-def replay_oracle(changes, frontier):
-    """Leaves implied by the ancestor closure of `frontier`, by brute force."""
-    by_hash = {c.hash: c for c in changes}
+def closure_walk(by_hash, frontier):
+    """Hashes reachable from `frontier` along dep edges, `frontier` included."""
     closure = set()
     stack = list(frontier)
     while stack:
@@ -21,8 +20,14 @@ def replay_oracle(changes, frontier):
             continue
         closure.add(digest)
         stack.extend(by_hash[digest].deps)
+    return closure
+
+
+def replay_oracle(changes, frontier):
+    """Leaves implied by the ancestor closure of `frontier`, by brute force."""
+    by_hash = {c.hash: c for c in changes}
     best = {}
-    for change in (by_hash[h] for h in closure):
+    for change in (by_hash[h] for h in closure_walk(by_hash, frontier)):
         for idx, op in enumerate(change.ops):
             rank = (change.lamport, change.hash, idx)
             if op.path not in best or rank > best[op.path][0]:

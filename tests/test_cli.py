@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import time
 
 import pytest
 
+import causal_kv
 from causal_kv.bench import run_bench
 from causal_kv.cli import build_parser, main, parse_address, parse_peer
 from causal_kv.sim.metrics import read_csv
@@ -86,6 +88,9 @@ def test_serve_and_bench_over_loopback(tmp_path):
     probe = socket.create_server(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
+    # the server process imports causal_kv from where this process found it
+    src = os.path.dirname(os.path.dirname(causal_kv.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "causal_kv.cli",
@@ -94,6 +99,7 @@ def test_serve_and_bench_over_loopback(tmp_path):
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
+        env=env,
     )
     try:
         deadline = time.time() + 10

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from causal_kv import engine
+from causal_kv.durability import ChangeLog
 from causal_kv.engine import (
     Change,
     Document,
@@ -33,7 +35,7 @@ FIXTURE_CANONICAL = (
 FIXTURE_SHA256 = "aafe8c4990fcba4551b5f2ad26bc8e5998fba4f4e3fcdbc06ba27eefa50bafbf"
 
 
-from oracles import random_history, replay_oracle
+from oracles import closure_walk, random_history, replay_oracle
 
 
 # -- genesis ------------------------------------------------------------
@@ -202,12 +204,48 @@ def test_out_of_order_change_is_buffered_until_dep_arrives():
 
 
 def test_apply_remote_rejects_hash_mismatch():
+    # a Change derives its hash, so no forged one can reach apply_remote
     d1 = Document.with_genesis("hash")
     c = d1.commit(1, [set_op(("kvs", "a"), 1)])
-    forged = Change(actor=c.actor, seq=c.seq, lamport=c.lamport, deps=c.deps, ops=c.ops, hash="00" * 32)
-    d2 = Document.with_genesis("hash")
-    with pytest.raises(HashMismatchError):
-        d2.apply_remote(forged)
+    with pytest.raises(TypeError):
+        Change(actor=c.actor, seq=c.seq, lamport=c.lamport, deps=c.deps, ops=c.ops, hash="00" * 32)
+    assert Change(actor=c.actor, seq=c.seq, lamport=c.lamport, deps=c.deps, ops=c.ops) == c
+
+
+def count_hashing(monkeypatch):
+    calls = []
+    original = engine.canonical_change_bytes
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(engine, "canonical_change_bytes", counted)
+    return calls
+
+
+def test_ingesting_a_peer_change_hashes_it_once(monkeypatch):
+    src = Document.with_genesis("hash")
+    wire = change_to_wire(src.commit(1, [set_op(("kvs", "a"), 1)]))
+    doc = Document.with_genesis("hash")
+    calls = count_hashing(monkeypatch)
+    status, _ = doc.apply_remote(change_from_wire(wire))
+    assert status == "applied"
+    assert len(calls) == 1
+
+
+def test_log_load_hashes_each_line_once(monkeypatch, tmp_path):
+    src = Document.with_genesis("counter")
+    for i in range(5):
+        src.commit(1, [set_op(("kvs", "a"), i)])
+    log = ChangeLog(tmp_path)
+    for c in src.changes.values():
+        log.append(c)
+    log.close()
+    calls = count_hashing(monkeypatch)
+    loaded = ChangeLog(tmp_path).load()
+    assert loaded.heads == src.heads
+    assert len(calls) == len(src.changes) == 6
 
 
 # -- winner rule -------------------------------------------------------------
@@ -310,12 +348,13 @@ def test_missing_changes_agrees_with_closure_walk_on_random_frontiers():
         stored = list(doc.changes)
         for _ in range(5):
             frontier = rng.sample(stored, k=rng.randint(1, min(4, len(stored))))
-            closure = doc.ancestor_closure(frontier)
+            closure = closure_walk(doc.changes, frontier)
             expected = sorted(
                 (c for h, c in doc.changes.items() if h not in closure),
                 key=lambda c: c.stamp,
             )
             assert doc.missing_changes(doc.frontier_vv(frontier)) == expected
+            assert doc.state_at(frontier) == replay_oracle(changes, frontier)
 
 
 def test_per_actor_seq_gaps_are_rejected():

@@ -360,13 +360,19 @@ def test_malformed_sync_message_is_dropped_without_reply(caplog):
     bus, n1, n2 = two_node_bus()
     n2.sync_with(1)
     bus.pump()
-    before = dict(n1.sync.peer_states[2].vv)
-    assert before
+    before = {pid: dict(state.vv) for pid, state in n1.sync.peer_states.items()}
+    assert before[2]
     bad_vvs = [{"x": 1}, {"-1": 1}, {"1": -1}, {"1": True}, {"1": 1.5}, {"1": "2"}, [1, 2], None]
-    bad_msgs = [{"vv": bad, "changes": []} for bad in bad_vvs] + [{"vv": {}, "changes": 5}]
+    bad_fields = [{"vv": bad, "changes": []} for bad in bad_vvs] + [
+        {"vv": {}, "changes": 5},
+        {"from": [2], "vv": {}},
+        {"from": True, "vv": {}},
+    ]
+    bad_msgs = [
+        {"type": kind, "from": 2, **bad} for bad in bad_fields for kind in ("sync_req", "sync_resp")
+    ] + ["notadict", [1]]
     for bad in bad_msgs:
-        for kind in ("sync_req", "sync_resp"):
-            caplog.clear()
-            assert n1.handle_peer_message({"type": kind, "from": 2, **bad}) is None
-            assert n1.sync.peer_states[2].vv == before
-            assert any("dropped malformed" in r.getMessage() for r in caplog.records)
+        caplog.clear()
+        assert n1.handle_peer_message(bad) is None
+        assert {pid: dict(state.vv) for pid, state in n1.sync.peer_states.items()} == before
+        assert any("dropped malformed" in r.getMessage() for r in caplog.records)
