@@ -13,8 +13,11 @@ heads.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import hashlib
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -203,11 +206,17 @@ def winner(a: tuple[int, str], b: tuple[int, str]) -> tuple[int, str]:
     return a if a >= b else b
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
+    """One change's write to one leaf path."""
+
     value: object  # scalar or DELETED
     lamport: int
     source: str  # hash of the change that wrote this value
+
+
+def _leaf_stamp(leaf: Leaf) -> tuple[int, str]:
+    return (leaf.lamport, leaf.source)
 
 
 class Document:
@@ -218,11 +227,16 @@ class Document:
 
     def __init__(self):
         self.changes: dict[str, Change] = {}  # insertion order == application order
-        self.leaves: dict[Path, Leaf] = {}
         self.heads: tuple[str, ...] = ()
         self._pending: dict[str, list[Change]] = {}  # missing dep hash -> waiting changes
         self._pending_hashes: set[str] = set()
-        self._children: dict[Path, set[str]] = {}  # interior path -> child components
+        # leaf path -> every stored change's write to it, ascending by stamp, so
+        # the last entry is the current winner and a frontier's winner is the
+        # last entry whose change the frontier's version vector covers
+        self._writes: dict[Path, list[Leaf]] = {}
+        self._children: dict[Path, list[str]] = {}  # interior path -> sorted child components
+        # decoded kvs keys, ascending; components that are not base64 are left out
+        self.kv_keys: list[bytes] = []
         # per-change version vector: actor -> greatest seq in the change's closure;
         # valid because each change depends on its actor's previous change
         self._vv: dict[str, dict[int, int]] = {}
@@ -250,30 +264,42 @@ class Document:
     def pending_count(self) -> int:
         return len(self._pending_hashes)
 
-    def leaf(self, path: Path) -> Leaf | None:
-        return self.leaves.get(path)
+    def leaf(self, path: Path, vv: dict[int, int] | None = None) -> Leaf | None:
+        """The winning write to `path`; with `vv`, among the changes it covers."""
+        writes = self._writes.get(path)
+        if not writes:
+            return None
+        if vv is None:
+            return writes[-1]
+        for leaf in reversed(writes):
+            change = self.changes[leaf.source]
+            if change.seq <= vv.get(change.actor, 0):
+                return leaf
+        return None
 
     def live_value(self, path: Path):
-        entry = self.leaves.get(path)
+        entry = self.leaf(path)
         if entry is None or entry.value is DELETED:
             return None
         return entry.value
 
     def leaves_snapshot(self) -> dict[Path, object]:
         """Current live leaves (deleted markers excluded)."""
-        return {p: leaf.value for p, leaf in self.leaves.items() if leaf.value is not DELETED}
+        return {p: w[-1].value for p, w in self._writes.items() if w[-1].value is not DELETED}
 
     def children(self, prefix: Path) -> list[str]:
-        """Sorted child components ever written under `prefix` (may include dead subtrees)."""
-        return sorted(self._children.get(prefix, ()))
+        """Sorted child components ever written under `prefix` (may include dead
+        subtrees). The list is the index itself: callers must not modify it."""
+        return self._children.get(prefix, [])
 
-    def iter_subtree(self, prefix: Path = ()):
-        """Yield (path, value) for live leaves at or under `prefix`, in sorted path order."""
-        leaf = self.leaves.get(prefix)
+    def iter_subtree(self, prefix: Path = (), vv: dict[int, int] | None = None):
+        """Yield (path, value) for live leaves at or under `prefix`, in sorted path
+        order; with `vv`, as of the changes that version vector covers."""
+        leaf = self.leaf(prefix, vv)
         if leaf is not None and leaf.value is not DELETED and prefix:
             yield prefix, leaf.value
         for component in self.children(prefix):
-            yield from self.iter_subtree(prefix + (component,))
+            yield from self.iter_subtree(prefix + (component,), vv)
 
     # -- mutation -----------------------------------------------------------
 
@@ -369,43 +395,52 @@ class Document:
         self._vv[change.hash] = vv
         self.changes[change.hash] = change
         self._by_actor.setdefault(change.actor, []).append(change)
-        self._apply_ops(self.leaves, change)
-        for op in change.ops:
-            for depth in range(len(op.path)):
-                self._children.setdefault(op.path[:depth], set()).add(op.path[depth])
+        # a later op on the same path within one change overrides an earlier one
+        for path, op in {op.path: op for op in change.ops}.items():
+            leaf = Leaf(op.value if op.action == "set" else DELETED, change.lamport, change.hash)
+            writes = self._writes.get(path)
+            if writes is None:
+                self._writes[path] = [leaf]
+                self._index_path(path)
+            elif _leaf_stamp(leaf) > _leaf_stamp(writes[-1]):
+                writes.append(leaf)  # the usual case: local commits always land here
+            else:
+                insort(writes, leaf, key=_leaf_stamp)
         self.heads = tuple(sorted((set(self.heads) - set(change.deps)) | {change.hash}))
 
-    @staticmethod
-    def _apply_ops(leaves: dict[Path, Leaf], change: Change) -> None:
-        for op in change.ops:
-            current = leaves.get(op.path)
-            if current is not None and (change.lamport, change.hash) < (current.lamport, current.source):
-                continue
-            value = op.value if op.action == "set" else DELETED
-            leaves[op.path] = Leaf(value=value, lamport=change.lamport, source=change.hash)
+    def _index_path(self, path: Path) -> None:
+        """Enter a first-written path's components into the children and key indexes."""
+        for depth in range(len(path) - 1, -1, -1):
+            siblings = self._children.setdefault(path[:depth], [])
+            i = bisect_left(siblings, path[depth])
+            if i < len(siblings) and siblings[i] == path[depth]:
+                return  # the shallower prefixes were indexed with this one
+            siblings.insert(i, path[depth])
+            if depth == 1 and path[0] == "kvs":
+                try:
+                    insort(self.kv_keys, base64.b64decode(path[1].encode("ascii"), validate=True))
+                except (UnicodeEncodeError, binascii.Error):
+                    pass
 
     # -- history ------------------------------------------------------------
 
     def state_at(self, frontier: Iterable[str]) -> dict[Path, object]:
-        """Live leaves produced by replaying exactly the ancestor closure of `frontier`.
+        """Live leaves of exactly the ancestor closure of `frontier`.
 
         The closure is each actor chain's prefix up to the frontier's version
-        vector: the complement of what missing_changes returns for that vector.
+        vector, so each leaf takes its greatest-stamp write from that closure.
         """
         frontier = list(frontier)
         for digest in frontier:
             if digest not in self.changes:
                 raise UnknownHashError(digest)
         vv = self.frontier_vv(frontier)
-        closure = [
-            change
-            for actor, ordered in self._by_actor.items()
-            for change in ordered[:vv.get(actor, 0)]
-        ]
-        replayed: dict[Path, Leaf] = {}
-        for change in sorted(closure, key=lambda c: c.stamp):
-            self._apply_ops(replayed, change)
-        return {p: leaf.value for p, leaf in replayed.items() if leaf.value is not DELETED}
+        snapshot = {}
+        for path in self._writes:
+            leaf = self.leaf(path, vv)
+            if leaf is not None and leaf.value is not DELETED:
+                snapshot[path] = leaf.value
+        return snapshot
 
     def frontier_vv(self, heads: Iterable[str]) -> dict[int, int]:
         """Per-actor greatest seq in the closure of the known subset of `heads`."""

@@ -7,7 +7,8 @@ Two history-addressing modes share one document layout root:
   value (or a null tombstone), so historical reads replay the revs map and
   deleted data stays readable at old revisions.
 * hash: no counter. Each key stores only its latest value; history is addressed
-  by change-DAG frontiers and historical reads go through Document.state_at.
+  by change-DAG frontiers, and a historical read resolves each leaf it needs to
+  the winning write among the changes the frontier's version vector covers.
 
 Values are either opaque bytes (one leaf, whole-value last-writer-wins) or JSON
 objects decomposed into one leaf per nested field, so concurrent edits to
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import base64
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -105,16 +107,17 @@ class LeaseRecord:
 
 
 # -- leaf views ---------------------------------------------------------------
-# Reads run either against the live document (indexed) or against a state_at
-# snapshot (flat dict); both expose the same three lookups.
+# Reads run against the document, either current or as of a frontier's version
+# vector (hash-mode history); the engine's writer lists resolve both.
 
 
 class _DocView:
-    def __init__(self, doc: Document):
+    def __init__(self, doc: Document, vv: dict[int, int] | None = None):
         self._doc = doc
+        self._vv = vv
 
     def get(self, path: Path, default=MISSING):
-        leaf = self._doc.leaf(path)
+        leaf = self._doc.leaf(path, self._vv)
         if leaf is None or leaf.value is DELETED:
             return default
         return leaf.value
@@ -123,24 +126,7 @@ class _DocView:
         return self._doc.children(prefix)
 
     def subtree(self, prefix: Path):
-        return self._doc.iter_subtree(prefix)
-
-
-class _SnapView:
-    def __init__(self, snapshot: dict[Path, object]):
-        self._snap = snapshot
-
-    def get(self, path: Path, default=MISSING):
-        return self._snap.get(path, default)
-
-    def children(self, prefix: Path) -> list[str]:
-        n = len(prefix)
-        return sorted({p[n] for p in self._snap if len(p) > n and p[:n] == prefix})
-
-    def subtree(self, prefix: Path):
-        n = len(prefix)
-        for path in sorted(p for p in self._snap if p[:n] == prefix):
-            yield path, self._snap[path]
+        return self._doc.iter_subtree(prefix, self._vv)
 
 
 # -- JSON value handling -------------------------------------------------------
@@ -292,10 +278,11 @@ class Store:
         if not isinstance(at, (list, tuple)) or not at or not all(isinstance(h, str) for h in at):
             raise ApiError("malformed", "hash mode addresses history by a list of change hashes")
         try:
-            snapshot = self.doc.state_at(at)
+            for digest in at:
+                self.doc.get_change(digest)
         except UnknownHashError as exc:
             raise ApiError("unknown_hash", str(exc)) from exc
-        return _SnapView(snapshot), None
+        return _DocView(self.doc, self.doc.frontier_vv(at)), None
 
     # -- reading ---------------------------------------------------------------
 
@@ -385,25 +372,29 @@ class Store:
             return None
         return KvItem(key=key, value=self._value_bytes(flat), lease=lease)
 
-    def _keys_in_range(self, view, key: bytes, range_end: bytes | None) -> list[bytes]:
+    def _keys_in_range(self, key: bytes, range_end: bytes | None):
+        """Keys ever written in [key, range_end), dead ones included, ascending.
+
+        Lazy, so a limited scan reads no further than its answer; callers must
+        not commit while iterating.
+        """
         if range_end is None:
-            return [key]
-        decoded = []
-        for comp in view.children(("kvs",)):
-            try:
-                decoded.append(base64.b64decode(comp.encode("ascii"), validate=True))
-            except Exception:
-                continue
-        unbounded = range_end == b"\x00"
-        return sorted(k for k in decoded if k >= key and (unbounded or k < range_end))
+            yield key
+            return
+        keys = self.doc.kv_keys
+        end = len(keys) if range_end == b"\x00" else bisect_left(keys, range_end)
+        for i in range(bisect_left(keys, key), end):
+            yield keys[i]
 
     def range(self, key: bytes, range_end: bytes | None = None, at=None, limit: int | None = None):
         """Site-local read of [key, range_end); values as of `at` when given."""
         if not key:
             raise ApiError("malformed", "key must be non-empty")
+        if limit is not None and (not isinstance(limit, int) or isinstance(limit, bool) or limit < 0):
+            raise ApiError("malformed", "limit must be a non-negative integer")
         view, max_rev = self._view_at(at)
         items = []
-        for k in self._keys_in_range(view, key, range_end):
+        for k in self._keys_in_range(key, range_end):
             item = self.read_item(k, view, max_rev)
             if item is not None:
                 items.append(item)
@@ -480,7 +471,7 @@ class Store:
         if not key:
             raise ApiError("malformed", "key must be non-empty")
         view = _DocView(self.doc)
-        victims = [k for k in self._keys_in_range(view, key, range_end) if self.read_item(k, view) is not None]
+        victims = [k for k in self._keys_in_range(key, range_end) if self.read_item(k, view) is not None]
         if not victims:
             return self.header(), 0
         rev = self._next_revision()
@@ -529,7 +520,7 @@ class Store:
             elif kind == "delete_range":
                 victims = [
                     k
-                    for k in self._keys_in_range(view, req["key"], req.get("range_end"))
+                    for k in self._keys_in_range(req["key"], req.get("range_end"))
                     if self.read_item(k, view) is not None
                 ]
                 for k in victims:
@@ -678,5 +669,5 @@ class Store:
 
     def value_bytes_at_frontier(self, key: bytes, frontier) -> bytes | None:
         """Hash mode: the key's value in the history addressed by `frontier`."""
-        item = self.read_item(key, _SnapView(self.doc.state_at(frontier)))
+        item = self.read_item(key, _DocView(self.doc, self.doc.frontier_vv(frontier)))
         return None if item is None else item.value

@@ -8,11 +8,15 @@ flushed after the engine lock is released so network I/O never sits inside it.
 
 Per request, work is ordered: apply to the in-memory document, append to the
 durable log, fan out watch events, queue the broadcast - and only then build the
-client response, so an acknowledged write is always on disk first.
+client response, so an acknowledged write is always on disk first. Once an
+append fails, memory holds a change the log lacks and every later change would
+depend on it, so the node turns degraded: it refuses every mutating request
+until it is restarted from its log.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,6 +27,8 @@ from .engine import Change, Document, genesis_change
 from .kvstore import ApiError, Store, b64d
 from .sync import SyncManager
 from .watch import WatchManager
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -54,7 +60,7 @@ class Node:
         self._send = send or (lambda peer_id, msg: None)
         self._lock = threading.RLock()
         self._outbox: list[tuple[int, dict]] = []
-        self.degraded = False  # set when the durable log falls behind memory
+        self.degraded = False  # set when the durable log falls behind memory; never cleared
 
         self.log = ChangeLog(config.data_dir, fsync=config.fsync) if config.data_dir else None
         doc = self.log.load() if self.log else Document()
@@ -102,7 +108,7 @@ class Node:
             self.log.append(change)
         except OSError as exc:
             self.degraded = True
-            raise ApiError("malformed", f"durable append failed: {exc}") from exc
+            raise ApiError("degraded", f"durable append failed: {exc}") from exc
 
     def _watch_local(self, change: Change) -> None:
         self.watches.on_change(change, "local")
@@ -112,7 +118,11 @@ class Node:
 
     def _on_remote_apply(self, change: Change) -> None:
         if self.log is not None:
-            self.log.append(change)
+            try:
+                self.log.append(change)
+            except OSError as exc:
+                self.degraded = True
+                logger.error("node %d: durable append failed, now degraded: %s", self.config.node_id, exc)
         self.watches.on_change(change, "remote")
 
     def _flush_outbox(self) -> None:
@@ -136,7 +146,7 @@ class Node:
 
     def lease_tick(self) -> list[int]:
         with self._lock:
-            revoked = self.store.lease_expire_scan()
+            revoked = [] if self.degraded else self.store.lease_expire_scan()
         self._flush_outbox()
         return revoked
 
@@ -159,6 +169,8 @@ class Node:
             if handler is None:
                 raise ApiError("malformed", f"unknown op {op!r}")
             with self._lock:
+                if self.degraded and op in self._MUTATING:
+                    raise ApiError("degraded", "the durable log lost a change; restart the node from its log")
                 payload = handler(self, request, watch_sink)
                 header = self.store.header()
             response = {"id": req_id, "ok": True, "header": header}
@@ -261,7 +273,12 @@ class Node:
 
     def _handle_status(self, req, _sink):
         meta = self.store.cluster_meta()
-        return {"cluster_id": meta["cluster_id"], "mode": meta["mode"], "schema": meta["schema"]}
+        return {
+            "cluster_id": meta["cluster_id"],
+            "mode": meta["mode"],
+            "schema": meta["schema"],
+            "degraded": self.degraded,
+        }
 
     def _handle_replication_status(self, req, _sink):
         if self.store.mode != "hash":
@@ -288,3 +305,4 @@ class Node:
         "status": _handle_status,
         "replication_status": _handle_replication_status,
     }
+    _MUTATING = frozenset({"put", "delete_range", "txn", "lease_grant", "lease_revoke"})

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .engine import Change, Document
-from .kvstore import ApiError, Store, _DocView, b64e
+from .kvstore import ApiError, Store, b64e
 
 ZERO_STAMP = (0, "")
 
@@ -150,7 +150,7 @@ class WatchManager:
                 raise ApiError("future_revision", f"revision {start} has not been assigned yet")
         backlog: list[WatchEvent] = []
         replayed: list[tuple[int, bytes, bool]] = []
-        for key in self.store._keys_in_range(_DocView(self.doc), reg.key, reg.range_end):
+        for key in self.store._keys_in_range(reg.key, reg.range_end):
             revs = self.store.revs_of(key)
             if not revs:
                 continue

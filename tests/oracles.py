@@ -5,9 +5,12 @@ resolves every leaf by a global max over (lamport, hash, op position) instead of
 folding changes in order, so agreement between the two is meaningful.
 """
 
+import base64
+import binascii
 import random
 
 from causal_kv.engine import Document, del_op, set_op
+from causal_kv.kvstore import MISSING
 
 
 def closure_walk(by_hash, frontier):
@@ -60,3 +63,46 @@ def random_history(seed, max_changes=20, max_actors=3, keys=("a", "b", "c", "d")
         for c in doc.missing_changes(union.version_vector()):
             union.apply_remote(c)
     return list(union.changes.values())
+
+
+class SnapView:
+    """A leaf view over a flat {path: value} snapshot, such as replay_oracle's,
+    for Store.read_item: every lookup scans the whole snapshot."""
+
+    def __init__(self, snapshot):
+        self._snap = snapshot
+
+    def get(self, path, default=MISSING):
+        return self._snap.get(path, default)
+
+    def children(self, prefix):
+        n = len(prefix)
+        return sorted({p[n] for p in self._snap if len(p) > n and p[:n] == prefix})
+
+    def subtree(self, prefix):
+        n = len(prefix)
+        for path in sorted(p for p in self._snap if p[:n] == prefix):
+            yield path, self._snap[path]
+
+
+def decoded_kv_keys(components):
+    """Every base64-valid kvs component decoded, sorted; the rest skipped."""
+    keys = []
+    for comp in components:
+        try:
+            keys.append(base64.b64decode(comp.encode("ascii"), validate=True))
+        except (UnicodeEncodeError, binascii.Error):
+            continue
+    return sorted(keys)
+
+
+def range_oracle(store, key, range_end, limit, view, max_rev=None):
+    """Store.range by brute force: decode and sort every kvs component any
+    stored change wrote, then read each key of [key, range_end) through `view`."""
+    if range_end is None:
+        keys = [key]
+    else:
+        written = {op.path[1] for c in store.doc.changes.values() for op in c.ops if op.path[0] == "kvs" and len(op.path) > 1}
+        keys = [k for k in decoded_kv_keys(written) if k >= key and (range_end == b"\x00" or k < range_end)]
+    items = [item for item in (store.read_item(k, view, max_rev) for k in keys) if item is not None]
+    return [item.to_wire() for item in (items[:limit] if limit else items)]

@@ -1,9 +1,15 @@
+import base64
 import json
 import random
+
+import pytest
 
 from causal_kv.durability import ChangeLog, change_line
 from causal_kv.engine import Document, genesis_change, set_op
 from causal_kv.kvstore import Store
+from causal_kv.node import Node, NodeConfig
+
+from test_sync import Bus
 
 
 def logged_store(tmp_path, mode="counter", fsync=False):
@@ -138,11 +144,71 @@ def test_fsync_mode_round_trips(tmp_path):
 
 
 def test_restarting_in_a_different_mode_is_refused(tmp_path):
-    import pytest
-
-    from causal_kv.node import Node, NodeConfig
-
     node = Node(NodeConfig(node_id=1, mode="counter", data_dir=str(tmp_path)))
     node.log.close()
     with pytest.raises(ValueError, match="different revision mode"):
         Node(NodeConfig(node_id=1, mode="hash", data_dir=str(tmp_path)))
+
+
+def _history_with_one_failed_append(mode, seed, fail_at, tmp_path):
+    """Node 1 (logged) and node 2 take random puts, exchange broadcasts and run
+    sync rounds; node 1's fail_at-th log append raises. Returns the hashes of
+    the puts node 1 acked, the origin of each append, and node 1."""
+    bus = Bus()
+    a = bus.add(1, mode=mode, peers=[2], data_dir=str(tmp_path))
+    b = bus.add(2, mode=mode, peers=[1])
+    bus.pump()
+    origins = []
+    real_append = a.log.append
+
+    def flaky_append(change):
+        origins.append("local" if change.actor == 1 else "remote")
+        if len(origins) == fail_at:
+            raise OSError("injected append failure")
+        real_append(change)
+
+    a.log.append = flaky_append
+    rng = random.Random(seed)
+    acked = []
+    for step in range(30):
+        r = rng.random()
+        key = base64.b64encode(b"k%d" % rng.randrange(4)).decode()
+        value = base64.b64encode(b"v%d" % step).decode()
+        if r < 0.4:
+            if a.dispatch({"id": step, "op": "put", "key": key, "value": value})["ok"]:
+                acked.append(next(reversed(a.doc.changes)))
+        elif r < 0.8:
+            b.dispatch({"id": step, "op": "put", "key": key, "value": value})
+        elif r < 0.9:
+            bus.pump()
+        elif rng.random() < 0.5:
+            a.sync_with(2)
+            bus.pump()
+        else:
+            b.sync_with(1)
+            bus.pump()
+    return acked, origins, a
+
+
+@pytest.mark.parametrize("mode", ["counter", "hash"])
+def test_one_failed_append_at_any_position_loses_no_acked_put(mode, tmp_path):
+    failed_origins = set()
+    for seed in range(3):
+        _, origins, clean = _history_with_one_failed_append(mode, seed, 0, tmp_path / f"{seed}-clean")
+        clean.log.close()
+        for fail_at in range(1, len(origins) + 1):
+            data_dir = tmp_path / f"{seed}-{fail_at}"
+            acked, seen, node = _history_with_one_failed_append(mode, seed, fail_at, data_dir)
+            assert seen[:fail_at] == origins[:fail_at]  # the same history up to the failure
+            failed_origins.add(seen[fail_at - 1])
+            node.log.close()
+            restarted = Node(NodeConfig(node_id=1, mode=mode, data_dir=str(data_dir)))
+            restarted.log.close()
+            missing = [h for h in acked if not restarted.doc.has_change(h)]
+            assert not missing, f"seed {seed}: failing append {fail_at} lost acked puts"
+            assert node.degraded
+            status = node.dispatch({"id": 1, "op": "status"})
+            assert status["ok"] and status["degraded"] is True
+            refused = node.dispatch({"id": 2, "op": "put", "key": "YQ==", "value": "YQ=="})
+            assert refused["error"]["code"] == "degraded"
+    assert failed_origins == {"local", "remote"}

@@ -75,6 +75,16 @@ def test_range_interval_and_limit():
     assert len(items) == 4
 
 
+@pytest.mark.parametrize("limit", [-1, True, 2.5, "2"])
+def test_range_rejects_a_limit_that_is_not_a_non_negative_int(limit):
+    store = make_store()
+    for k in (b"a", b"b", b"c", b"d"):
+        store.put(k, b"v" + k)
+    with pytest.raises(ApiError) as err:
+        store.range(b"a", b"\x00", limit=limit)
+    assert err.value.code == "malformed"
+
+
 def test_historical_read_at_old_revision():
     store = make_store()
     store.put(b"a", b"old")  # rev 2
