@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from .node import Node, NodeConfig
+from .node import NodeConfig
 from .sim.harness import load_scenario, run_scenario
 from .sim.metrics import read_csv, render_summary, summarize
 from .sim.workload import WorkloadConfig
@@ -62,38 +61,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_serve(args) -> int:
-    from .server import PeerClient, Server, SyncScheduler
+    from .server import Server
 
-    peers = dict(args.peer)
-    node_ref: dict = {}
-    peer_client = PeerClient(node_ref, peers)
-    node = Node(
+    server = Server(
         NodeConfig(
             node_id=args.node_id,
             mode=args.mode,
             schema=args.schema,
-            peers=peers,
+            peers=dict(args.peer),
             data_dir=args.data_dir,
             fsync=args.fsync == "on",
             sync_interval_ms=args.sync_interval_ms,
             client_urls=[f"tcp://{args.listen[0]}:{args.listen[1]}"],
         ),
-        send=peer_client.send,
+        *args.listen,
     )
-    node_ref["node"] = node
-    node.register_member()
-    server = Server(node, host=args.listen[0], port=args.listen[1]).start()
-    scheduler = SyncScheduler(node, args.sync_interval_ms).start()
+    server.node.register_member()
     print(f"node {args.node_id} ({args.mode}/{args.schema}) listening on {args.listen[0]}:{args.listen[1]}")
     try:
-        while True:
-            time.sleep(1)
+        server.run()
     except KeyboardInterrupt:
         pass
-    finally:
-        scheduler.stop()
-        server.stop()
-        peer_client.close()
     return 0
 
 

@@ -35,8 +35,20 @@ class ChangeLog:
 
     def _handle(self):
         if self._fh is None:
+            created = not self.path.exists()
             self._fh = open(self.path, "ab")
+            if created:
+                self._sync_directory()
         return self._fh
+
+    def _sync_directory(self) -> None:
+        """In fsync mode, make creating or cutting back the log survive a crash."""
+        if self.fsync:
+            fd = os.open(self.directory, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     def append(self, change: Change) -> None:
         """Write one change and, in flush-per-change mode, force it to stable storage."""
@@ -75,6 +87,7 @@ class ChangeLog:
             self.close()
             with open(self.path, "ab") as fh:
                 fh.truncate(good_bytes)
+            self._sync_directory()
         return doc
 
     def close(self) -> None:

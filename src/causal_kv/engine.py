@@ -57,9 +57,22 @@ class _Deleted:
 DELETED = _Deleted()
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json_bytes(obj) -> bytes:
     """Canonical JSON: sorted keys, no insignificant whitespace, minimal escaping, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return _CANONICAL.encode(obj).encode("utf-8")
+
+
+def decode_kv_key(component: str) -> bytes | None:
+    """The key a `kvs` path component names: canonical base64 only, since decoding
+    ignores non-zero padding bits and "YR==" would name b"a" a second time."""
+    try:
+        key = base64.b64decode(component.encode("ascii"), validate=True)
+    except (UnicodeEncodeError, binascii.Error):
+        return None
+    return key if base64.b64encode(key).decode("ascii") == component else None
 
 
 def _check_scalar(value) -> None:
@@ -235,7 +248,7 @@ class Document:
         # last entry whose change the frontier's version vector covers
         self._writes: dict[Path, list[Leaf]] = {}
         self._children: dict[Path, list[str]] = {}  # interior path -> sorted child components
-        # decoded kvs keys, ascending; components that are not base64 are left out
+        # decoded kvs keys, ascending; components that are not canonical base64 are left out
         self.kv_keys: list[bytes] = []
         # per-change version vector: actor -> greatest seq in the change's closure;
         # valid because each change depends on its actor's previous change
@@ -416,11 +429,8 @@ class Document:
             if i < len(siblings) and siblings[i] == path[depth]:
                 return  # the shallower prefixes were indexed with this one
             siblings.insert(i, path[depth])
-            if depth == 1 and path[0] == "kvs":
-                try:
-                    insort(self.kv_keys, base64.b64decode(path[1].encode("ascii"), validate=True))
-                except (UnicodeEncodeError, binascii.Error):
-                    pass
+            if depth == 1 and path[0] == "kvs" and (key := decode_kv_key(path[1])) is not None:
+                insort(self.kv_keys, key)
 
     # -- history ------------------------------------------------------------
 

@@ -30,6 +30,7 @@ from .engine import (
     Path,
     UnknownHashError,
     canonical_json_bytes,
+    decode_kv_key,
     del_op,
     set_op,
 )
@@ -561,8 +562,8 @@ class Store:
         view = _DocView(self.doc)
         attached = []
         for comp in view.children(("kvs",)):
-            if view.get(("kvs", comp, "lease")) == lease_id:
-                attached.append(base64.b64decode(comp.encode("ascii")))
+            if view.get(("kvs", comp, "lease")) == lease_id and (key := decode_kv_key(comp)) is not None:
+                attached.append(key)
         return sorted(attached)
 
     def lease_revoke(self, lease_id: int):

@@ -1,23 +1,24 @@
 """One datastore node: engine + kv store + watches + durability + replication.
 
-The node is transport-agnostic. Client requests arrive as decoded JSON objects
-through dispatch(); peer messages through handle_peer_message(), whose return
-value (if any) the caller sends back. Outbound fire-and-forget sends (broadcast,
-sync requests) go through the `send` callable handed in at construction, and are
-flushed after the engine lock is released so network I/O never sits inside it.
+The node is transport-agnostic and single-threaded: its runtime (the server's
+event loop or the simulator) calls it from one thread. Client requests arrive
+as decoded JSON objects through dispatch(); peer messages through
+handle_peer_message(), whose return value (if any) the caller sends back.
+Outbound fire-and-forget messages (broadcasts, sync requests) go straight to
+the `send` callable handed in at construction, which must only queue them.
 
-Per request, work is ordered: apply to the in-memory document, append to the
-durable log, fan out watch events, queue the broadcast - and only then build the
-client response, so an acknowledged write is always on disk first. Once an
-append fails, memory holds a change the log lacks and every later change would
-depend on it, so the node turns degraded: it refuses every mutating request
-until it is restarted from its log.
+Per change, work is ordered: apply to the in-memory document, append to the
+durable log, fan out watch events, send the broadcast - and only then build the
+client response, so nothing about a change, its acknowledgement included,
+leaves the node before the change is on disk. Once an append fails, memory
+holds a change the log lacks and every later change would depend on it, so the
+node turns degraded: it refuses every mutating request until it is restarted
+from its log.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -58,8 +59,6 @@ class Node:
         self.config = config
         self.clock = clock or time.time
         self._send = send or (lambda peer_id, msg: None)
-        self._lock = threading.RLock()
-        self._outbox: list[tuple[int, dict]] = []
         self.degraded = False  # set when the durable log falls behind memory; never cleared
 
         self.log = ChangeLog(config.data_dir, fsync=config.fsync) if config.data_dir else None
@@ -84,20 +83,18 @@ class Node:
         self.watches = WatchManager(self.store)
         self.sync = SyncManager(doc, config.node_id, config.peers, on_apply=self._on_remote_apply)
         self.store.commit_hooks.extend(
-            [self._append_durable, self._watch_local, self._queue_broadcast]
+            [self._append_durable, self._watch_local, self._broadcast]
         )
 
     def register_member(self) -> None:
         """Join the cluster: commit this node's member record and seed the
         cluster id if absent. Called by the serving/simulation runtimes, not by
         construction, so a fresh node still sits exactly at genesis."""
-        with self._lock:
-            self.store.bootstrap_member(
-                self.config.name or f"node{self.config.node_id}",
-                self.config.peer_urls,
-                self.config.client_urls,
-            )
-        self._flush_outbox()
+        self.store.bootstrap_member(
+            self.config.name or f"node{self.config.node_id}",
+            self.config.peer_urls,
+            self.config.client_urls,
+        )
 
     # -- commit/apply hooks ------------------------------------------------------
 
@@ -113,8 +110,9 @@ class Node:
     def _watch_local(self, change: Change) -> None:
         self.watches.on_change(change, "local")
 
-    def _queue_broadcast(self, change: Change) -> None:
-        self._outbox.extend(self.sync.broadcast_messages(change))
+    def _broadcast(self, change: Change) -> None:
+        for peer_id, msg in self.sync.broadcast_messages(change):
+            self._send(peer_id, msg)
 
     def _on_remote_apply(self, change: Change) -> None:
         if self.log is not None:
@@ -125,30 +123,17 @@ class Node:
                 logger.error("node %d: durable append failed, now degraded: %s", self.config.node_id, exc)
         self.watches.on_change(change, "remote")
 
-    def _flush_outbox(self) -> None:
-        pending, self._outbox = self._outbox, []
-        for peer_id, msg in pending:
-            self._send(peer_id, msg)
-
     # -- peer side ------------------------------------------------------------------
 
     def handle_peer_message(self, msg: dict) -> dict | None:
-        with self._lock:
-            reply = self.sync.handle_message(msg)
-        self._flush_outbox()
-        return reply
+        return self.sync.handle_message(msg)
 
     def sync_with(self, peer_id: int) -> None:
         """Kick one periodic anti-entropy round with one configured peer."""
-        with self._lock:
-            target, msg = self.sync.sync_request(peer_id)
-        self._send(target, msg)
+        self._send(*self.sync.sync_request(peer_id))
 
     def lease_tick(self) -> list[int]:
-        with self._lock:
-            revoked = [] if self.degraded else self.store.lease_expire_scan()
-        self._flush_outbox()
-        return revoked
+        return [] if self.degraded else self.store.lease_expire_scan()
 
     @property
     def doc(self) -> Document:
@@ -168,25 +153,19 @@ class Node:
             handler = self._HANDLERS.get(op)
             if handler is None:
                 raise ApiError("malformed", f"unknown op {op!r}")
-            with self._lock:
-                if self.degraded and op in self._MUTATING:
-                    raise ApiError("degraded", "the durable log lost a change; restart the node from its log")
-                payload = handler(self, request, watch_sink)
-                header = self.store.header()
-            response = {"id": req_id, "ok": True, "header": header}
+            if self.degraded and op in self._MUTATING:
+                raise ApiError("degraded", "the durable log lost a change; restart the node from its log")
+            payload = handler(self, request, watch_sink)
+            response = {"id": req_id, "ok": True, "header": self.store.header()}
             response.update(payload)
             return response
         except ApiError as exc:
             return self._error(req_id, exc.code, exc.msg)
         except (KeyError, TypeError, ValueError) as exc:
             return self._error(req_id, "malformed", f"{type(exc).__name__}: {exc}")
-        finally:
-            self._flush_outbox()
 
     def _error(self, req_id: int, code: str, msg: str) -> dict:
-        with self._lock:
-            header = self.store.header()
-        return {"id": req_id, "ok": False, "header": header, "error": {"code": code, "msg": msg}}
+        return {"id": req_id, "ok": False, "header": self.store.header(), "error": {"code": code, "msg": msg}}
 
     # -- request handlers ------------------------------------------------------------
 
@@ -233,6 +212,8 @@ class Node:
     def _handle_txn(self, req, _sink):
         compares = []
         for cmp in req.get("compares", ()):
+            if not isinstance(cmp, dict):
+                raise ApiError("malformed", "txn compares must be objects")
             target = cmp.get("target")
             operand = cmp.get("value")
             if target == "value":

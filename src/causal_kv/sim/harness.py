@@ -16,6 +16,7 @@ from pathlib import Path
 
 from ..kvstore import b64e
 from ..node import Node, NodeConfig
+from ..sync import sync_phases
 from .events import Scheduler
 from .metrics import MetricRecord, write_csv
 from .network import LinkConfig, SimNetwork
@@ -165,8 +166,8 @@ def run_scenario(scenario: Scenario, seed: int, out_path: str | Path | None = No
     last_event_t = max((e["t_ms"] / 1000.0 for e in scenario.events), default=0.0)
     horizon = max(scenario.workload.duration_s, last_event_t) + scenario.quiescence_s
 
-    # periodic sync: per (node, peer) repeating timers, phase-staggered so each
-    # node contacts its peers one at a time within every interval
+    # periodic sync: per (node, peer) repeating timers, on the same staggered
+    # phases as a serving node's loop
     interval = scenario.sync_interval_ms / 1000.0
 
     def make_sync_tick(node, peer_id):
@@ -178,9 +179,7 @@ def run_scenario(scenario: Scenario, seed: int, out_path: str | Path | None = No
         return tick
 
     for node_id, node in sorted(nodes.items()):
-        peers = sorted(node.sync.peer_states)
-        for idx, peer_id in enumerate(peers):
-            phase = interval * (idx + 1) / (len(peers) + 1)
+        for peer_id, phase in sync_phases(node.sync.peer_states, interval).items():
             scheduler.at(phase, make_sync_tick(node, peer_id))
 
     serving = nodes[scenario.serving_node]

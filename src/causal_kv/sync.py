@@ -45,11 +45,17 @@ def _vv_from_wire(obj) -> dict[int, int] | None:
     return vv
 
 
+def sync_phases(peers: Iterable[int], interval: float) -> dict[int, float]:
+    """Each peer's round offset within the sync interval: peers are contacted one at a time."""
+    ordered = sorted(peers)
+    return {pid: interval * (idx + 1) / (len(ordered) + 1) for idx, pid in enumerate(ordered)}
+
+
 class SyncManager:
     """Replication state machine for one node.
 
     Methods build peer-protocol messages or consume them; the owner performs the
-    actual sends so the engine lock never wraps network I/O.
+    actual sends.
     """
 
     def __init__(

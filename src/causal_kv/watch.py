@@ -10,11 +10,10 @@ always complete.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .engine import Change, Document
+from .engine import Change, Document, decode_kv_key
 from .kvstore import ApiError, Store, b64e
 
 ZERO_STAMP = (0, "")
@@ -60,10 +59,7 @@ class Registration:
 def _kvs_key(path) -> bytes | None:
     if len(path) < 2 or path[0] != "kvs":
         return None
-    try:
-        return base64.b64decode(path[1].encode("ascii"), validate=True)
-    except Exception:
-        return None
+    return decode_kv_key(path[1])
 
 
 def affected_keys(change: Change, mode: str) -> dict[bytes, dict]:

@@ -86,13 +86,15 @@ class SnapView:
 
 
 def decoded_kv_keys(components):
-    """Every base64-valid kvs component decoded, sorted; the rest skipped."""
+    """Every kvs component that is canonical base64 decoded, sorted; the rest skipped."""
     keys = []
     for comp in components:
         try:
-            keys.append(base64.b64decode(comp.encode("ascii"), validate=True))
+            key = base64.b64decode(comp.encode("ascii"), validate=True)
         except (UnicodeEncodeError, binascii.Error):
             continue
+        if base64.b64encode(key).decode("ascii") == comp:  # padding bits are ignored by decoding
+            keys.append(key)
     return sorted(keys)
 
 

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from causal_kv.node import Node, NodeConfig
-from causal_kv.server import PeerClient, Server, SyncScheduler
+from causal_kv.server import OUTBUF_LIMIT, Server
 
 
 def e(raw: bytes) -> str:
@@ -119,6 +119,7 @@ def test_error_codes_surface_with_exact_strings():
         (counter, {"op": "replication_status", "heads": ["ab"]}, "mode_unsupported"),
         (counter, {"op": "put", "key": e(b"a")}, "malformed"),
         (counter, {"op": "range"}, "malformed"),
+        (counter, {"op": "txn", "compares": [1]}, "malformed"),
     ]
     for node, req, code in cases:
         resp = node.dispatch({"id": 1, **req})
@@ -210,22 +211,16 @@ def test_failed_durable_append_fails_the_request_and_flags_the_node(tmp_path):
 
 
 def test_watch_queue_overflow_closes_the_connection():
-    from causal_kv.server import WATCH_QUEUE_LIMIT, _Connection
+    from causal_kv.server import _Connection, _encode_frame
 
-    class FakeSock:
-        def sendall(self, *_):
-            raise OSError("never drained")
-
-        def close(self):
-            pass
-
-    conn = _Connection(FakeSock(), server=None)
-    for i in range(WATCH_QUEUE_LIMIT):
-        conn.enqueue({"n": i})
+    frame = {"n": "x" * 100}
+    conn = _Connection(sock=None)  # never written: the buffer only fills
+    for _ in range(OUTBUF_LIMIT // len(_encode_frame(frame))):
+        conn.push(frame)
     assert not conn.closed
-    conn.enqueue({"n": "overflow"})
+    conn.push(frame)
     assert conn.closed
-    assert list(conn.queue)[-1]["error"]["code"] == "watch_overflow"
+    assert json.loads(conn.out.splitlines()[-1])["error"]["code"] == "watch_overflow"
 
 
 # -- live TCP smoke tests ---------------------------------------------------------
@@ -291,9 +286,8 @@ class TcpClient:
 
 @pytest.fixture
 def tcp_node():
-    node = make_node()
-    server = Server(node).start()
-    yield node, server.address
+    server = Server(NodeConfig(node_id=1)).start()
+    yield server.node, server.address
     server.stop()
 
 
@@ -368,18 +362,41 @@ def test_tcp_disconnect_cancels_the_connections_watches(tcp_node):
     assert node.watches.registration(watch_id) is None
 
 
-def test_concurrent_client_threads_see_serialized_commits():
+def test_tcp_a_frame_that_raises_closes_only_its_connection(tcp_node, monkeypatch):
+    node, address = tcp_node
+    victim, bystander = TcpClient(address), TcpClient(address)
+    assert bystander.request({"id": 1, "op": "status"})["ok"]
+
+    def raising_dispatch(request, watch_sink=None):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(node, "dispatch", raising_dispatch)
+    victim.send({"id": 2, "op": "status"})
+    assert victim.wait_eof()
+    monkeypatch.undo()
+    assert bystander.request({"id": 3, "op": "status"})["ok"], "the loop kept serving"
+    victim.close()
+    bystander.close()
+
+
+def test_concurrent_client_threads_see_serialized_commits(tcp_node):
     import concurrent.futures
 
-    node = make_node()
+    _node, address = tcp_node
+    clients = [TcpClient(address) for _ in range(8)]
 
-    def worker(i):
-        resp = node.dispatch({"id": i, "op": "put", "key": e(b"k%d" % (i % 5)), "value": e(b"v")})
-        assert resp["ok"]
-        return resp["header"]["revision"]
+    def worker(c):
+        revisions = []
+        for i in range(c, 200, 8):
+            resp = clients[c].request({"id": i, "op": "put", "key": e(b"k%d" % (i % 5)), "value": e(b"v")})
+            assert resp["ok"]
+            revisions.append(resp["header"]["revision"])
+        return revisions
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        revisions = sorted(pool.map(worker, range(200)))
+        revisions = sorted(r for rs in pool.map(worker, range(8)) for r in rs)
+    for client in clients:
+        client.close()
     assert revisions == list(range(2, 202)), "every commit got its own revision"
 
 
@@ -396,22 +413,17 @@ def test_two_live_nodes_replicate_over_tcp(tmp_path):
     runtime = {}
     try:
         for nid, other in ((1, 2), (2, 1)):
-            ref = {}
-            peer_client = PeerClient(ref, {other: addrs[other]})
-            node = Node(
+            server = Server(
                 NodeConfig(
                     node_id=nid,
                     peers={other: addrs[other]},
                     data_dir=str(tmp_path / f"n{nid}"),
                     sync_interval_ms=50,
                 ),
-                send=peer_client.send,
+                port=ports[nid],
             )
-            ref["node"] = node
-            node.register_member()
-            server = Server(node, port=ports[nid]).start()
-            scheduler = SyncScheduler(node, interval_ms=50).start()
-            runtime[nid] = (node, server, scheduler, peer_client)
+            server.node.register_member()
+            runtime[nid] = server.start()
 
         client = TcpClient(addrs[1])
         resp = client.request({"id": 1, "op": "put", "key": e(b"shared"), "value": e(b"42")})
@@ -430,7 +442,79 @@ def test_two_live_nodes_replicate_over_tcp(tmp_path):
         client.close()
         reader.close()
     finally:
-        for node, server, scheduler, peer_client in runtime.values():
-            scheduler.stop()
+        for server in runtime.values():
             server.stop()
-            peer_client.close()
+
+
+def _status(address) -> dict:
+    with socket.create_connection(address, timeout=5) as sock, sock.makefile("rb") as reader:
+        sock.sendall(b'{"id":1,"op":"status"}\n')
+        return json.loads(reader.readline())
+
+
+def test_a_node_runs_the_same_threads_however_many_connections_it_holds():
+    peers = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]  # accept, never answer
+    server = Server(
+        NodeConfig(node_id=1, peers={i + 2: p.getsockname() for i, p in enumerate(peers)}, sync_interval_ms=10)
+    ).start()
+    clients = []
+    try:
+        idle = threading.active_count()
+        clients = [socket.create_connection(server.address, timeout=5) for _ in range(20)]
+        for sock in clients:
+            sock.sendall(b'{"id":1,"op":"status"}\n')
+            assert json.loads(sock.makefile("rb").readline())["ok"]
+        for p in peers:
+            p.settimeout(5)
+            clients.append(p.accept()[0])  # a sync round opened the link
+        assert len(server.peers.links) == 2
+        assert len(server.conns) == 22
+        assert threading.active_count() == idle
+    finally:
+        server.stop()
+        for sock in clients + peers:
+            sock.close()
+
+
+def test_a_peer_that_never_reads_neither_stalls_puts_nor_grows_the_buffer():
+    stalled = socket.socket()
+    stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stalled.bind(("127.0.0.1", 0))
+    stalled.listen()
+    stalled.setblocking(False)
+    port = stalled.getsockname()[1]
+    node1 = Server(NodeConfig(node_id=1, mode="hash", peers={2: ("127.0.0.1", port)}, sync_interval_ms=20)).start()
+    held, node2 = [], None
+    try:
+        value = e(bytes(range(256)) * 256)  # 64 KiB: its broadcast alone is about 87 KB
+        peak = 0
+        with socket.create_connection(node1.address, timeout=1.0) as client, client.makefile("rb") as reader:
+            for i in range(200):
+                client.sendall(json.dumps({"id": i, "op": "put", "key": e(b"k%03d" % i), "value": value}).encode() + b"\n")
+                resp = json.loads(reader.readline())  # the 1 s socket timeout bounds each ack
+                assert resp["ok"] and resp["id"] == i
+                link = node1.peers.links.get(2)
+                buffered = len(link.out) if link is not None else 0
+                assert buffered <= OUTBUF_LIMIT
+                peak = max(peak, buffered)
+                try:
+                    held.append(stalled.accept()[0])
+                except BlockingIOError:
+                    pass
+        assert peak > OUTBUF_LIMIT - 200_000, "the kernel absorbed every broadcast; the cap was never reached"
+        heads = _status(node1.address)["header"]["heads"]
+
+        for sock in held + [stalled]:
+            sock.close()
+        node2 = Server(NodeConfig(node_id=2, mode="hash", peers={1: node1.address}, sync_interval_ms=20), port=port)
+        node2.start()
+        deadline = time.time() + 30
+        while _status(node2.address)["header"]["heads"] != heads:
+            assert time.time() < deadline, "node 2 never caught up with node 1's acked puts"
+            time.sleep(0.05)
+    finally:
+        node1.stop()
+        if node2 is not None:
+            node2.stop()
+        for sock in held + [stalled]:
+            sock.close()

@@ -143,6 +143,33 @@ def test_fsync_mode_round_trips(tmp_path):
     assert ChangeLog(tmp_path).load().leaves_snapshot() == store.doc.leaves_snapshot()
 
 
+def test_fsync_mode_syncs_the_directory_on_create_and_after_truncation(tmp_path, monkeypatch):
+    import os
+    import stat
+
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store, log = logged_store(tmp_path, fsync=True)
+    store.put(b"a", b"1")
+    log.close()
+    assert synced.count(True) == 1, "creating changes.log syncs its directory once"
+
+    log.path.write_bytes(log.path.read_bytes()[:-20])  # a torn final line
+    synced.clear()
+    ChangeLog(tmp_path, fsync=True).load()
+    assert synced == [True], "the truncation is followed by a directory sync"
+
+    synced.clear()
+    ChangeLog(tmp_path, fsync=True).load()
+    assert synced == [], "an intact log is neither truncated nor synced"
+
+
 def test_restarting_in_a_different_mode_is_refused(tmp_path):
     node = Node(NodeConfig(node_id=1, mode="counter", data_dir=str(tmp_path)))
     node.log.close()

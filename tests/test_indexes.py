@@ -169,3 +169,23 @@ def test_historical_reads_and_watch_replay_never_replay_the_closure(schema, monk
     WatchManager(store).create(b"watched", None, at, lambda _id, batch: events.extend(batch))
     assert [e.value for e in events] == [value(1200), value(1600)]
     assert store.doc.changes.lookups <= len(events) * writes
+
+
+def test_a_non_canonical_base64_key_component_stays_out_of_the_key_index():
+    from causal_kv.engine import change_to_wire
+    from causal_kv.node import Node, NodeConfig
+
+    n1, n2 = (Node(NodeConfig(node_id=i, mode="hash")) for i in (1, 2))
+    assert n1.dispatch({"id": 1, "op": "put", "key": "YQ==", "value": "MQ=="})["ok"]
+    for change in n1.doc.missing_changes(n2.doc.version_vector()):
+        n2.doc.apply_remote(change)
+    pushes = []
+    assert n1.dispatch({"id": 2, "op": "watch_create", "key": "YQ=="}, watch_sink=pushes.append)["ok"]
+    # "YR==" differs from "YQ==" only in padding bits, which decoding ignores
+    peer_change = n2.doc.commit(2, [set_op(("kvs", "YR==", "value"), "Mg==")])
+    n1.handle_peer_message({"type": "change", "from": 2, "change": change_to_wire(peer_change)})
+    assert n1.doc.has_change(peer_change.hash), "the change itself is accepted, not rejected at the wire"
+    resp = n1.dispatch({"id": 3, "op": "range", "key": "YQ==", "range_end": "AA=="})
+    assert resp["count"] == 1
+    assert [(kv["key"], kv["value"]) for kv in resp["kvs"]] == [("YQ==", "MQ==")]
+    assert pushes == [], "a watch on b'a' sees no event from a change that did not write it"
